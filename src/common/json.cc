@@ -1,9 +1,7 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/string_util.h"
 
@@ -31,6 +29,40 @@ void AppendUtf8(uint32_t cp, std::string* out) {
     out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
     out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   }
+}
+
+/// Integral and exactly representable, so it renders without '.'/'e'.
+bool IsSafeInteger(double v) {
+  return v == std::floor(v) && std::fabs(v) < 9.007199254740992e15;
+}
+
+/// For a grammar-valid number std::from_chars found out of range (so non-zero):
+/// true on overflow (leading digit's decimal exponent >= 308), not underflow.
+bool Overflows(std::string_view t) {
+  const size_t exp_at = std::min(t.find_first_of("eE"), t.size());
+  const size_t lead = t.find_first_of("123456789");
+  const size_t point = std::min(t.find('.'), exp_at);
+  long e = 0;  // an exponent too long for `long`: only its sign matters
+  if (exp_at < t.size() &&
+      std::from_chars(t.data() + exp_at + 1 + (t[exp_at + 1] == '+'),
+                      t.data() + t.size(), e).ec != std::errc()) {
+    return t[exp_at + 1] != '-';
+  }
+  return e + static_cast<long>(point) - static_cast<long>(lead) > 0;
+}
+
+/// NumberToString(v, integral), appended to `out` without a temporary.
+void AppendNumber(double v, bool integral, std::string* out) {
+  if (!std::isfinite(v)) {
+    out->append("null");
+    return;
+  }
+  char buf[32];  // longest shortest form: "-2.2250738585072014e-308"
+  char* end =
+      integral || IsSafeInteger(v)
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v)).ptr
+          : std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, end);
 }
 
 }  // namespace
@@ -81,26 +113,9 @@ void AppendQuoted(std::string_view s, std::string* out) {
 }
 
 std::string NumberToString(double v, bool integral) {
-  if (std::isnan(v) || std::isinf(v)) return "null";
-  if (integral || (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  // Shortest representation that round-trips a double.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double back = std::strtod(buf, nullptr);
-  if (back == v) {
-    for (int prec = 1; prec < 17; ++prec) {
-      char shorter[40];
-      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-      if (std::strtod(shorter, nullptr) == v) {
-        return shorter;
-      }
-    }
-  }
-  return buf;
+  std::string out;
+  AppendNumber(v, integral, &out);
+  return out;
 }
 
 void Value::DumpTo(std::string* out) const {
@@ -112,7 +127,7 @@ void Value::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       break;
     case Type::kNumber:
-      out->append(NumberToString(number_, integral_));
+      AppendNumber(number_, integral_, out);
       break;
     case Type::kString:
       AppendQuoted(string_, out);
@@ -225,22 +240,11 @@ class Parser {
 
   Status ParseHex4(uint32_t* out) {
     if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + i];
-      v <<= 4;
-      if (c >= '0' && c <= '9') {
-        v |= static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        v |= static_cast<uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        v |= static_cast<uint32_t>(c - 'A' + 10);
-      } else {
-        return Error("invalid \\u escape digit");
-      }
+    const char* first = text_.data() + pos_;
+    if (std::from_chars(first, first + 4, *out, 16).ptr != first + 4) {
+      return Error("invalid \\u escape digit");
     }
     pos_ += 4;
-    *out = v;
     return Status::OK();
   }
 
@@ -317,30 +321,29 @@ class Parser {
     }
   }
 
+  /// Advance over a run of ASCII digits; returns how many.
+  size_t SkipDigits() {
+    const size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - from;
+  }
+
   Status ParseNumber(Value* out) {
     const size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      return Error("invalid number");
-    }
+    const size_t int_start = pos_;
+    if (SkipDigits() == 0) return Error("invalid number");
     // Leading zero must be alone ("0", "0.5"; "012" is invalid JSON).
-    if (text_[pos_] == '0' && pos_ + 1 < text_.size() &&
-        text_[pos_ + 1] >= '0' && text_[pos_ + 1] <= '9') {
+    if (text_[int_start] == '0' && pos_ > int_start + 1) {
       return Error("leading zero in number");
-    }
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
     }
     bool integral = true;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       integral = false;
       ++pos_;
-      if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-        return Error("missing fraction digits");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      if (SkipDigits() == 0) return Error("missing fraction digits");
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       integral = false;
@@ -348,20 +351,16 @@ class Parser {
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
       }
-      if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-        return Error("missing exponent digits");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      if (SkipDigits() == 0) return Error("missing exponent digits");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    const double v = std::strtod(token.c_str(), nullptr);
-    if (std::isinf(v)) return Error("number out of range");
-    *out = Value::Number(v);
-    if (integral && v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-      *out = Value::Int(static_cast<int64_t>(v));
+    const char* first = text_.data() + start;
+    double v = *first == '-' ? -0.0 : 0.0;  // from_chars keeps it on underflow
+    if (std::from_chars(first, text_.data() + pos_, v).ec != std::errc() &&
+        Overflows(text_.substr(start, pos_ - start))) {
+      return Error("number out of range");
     }
+    *out = integral && IsSafeInteger(v) ? Value::Int(static_cast<int64_t>(v))
+                                        : Value::Number(v);
     return Status::OK();
   }
 

@@ -8,7 +8,10 @@
 //  - Objects preserve insertion order (responses render deterministically).
 //  - Numbers are doubles; integral values parsed or constructed from
 //    integers render without a decimal point or exponent, so epochs and
-//    document indices survive a round trip textually unchanged.
+//    document indices survive a round trip textually unchanged. Other
+//    numbers render as their shortest round-trip text, so every finite
+//    double but -0.0 (rendered as the integer 0) survives Dump -> Parse
+//    bit for bit. Both directions use <charconv> and ignore the locale.
 //  - Strings are UTF-8 byte sequences. The writer escapes the two
 //    JSON-mandated characters plus control bytes; multi-byte UTF-8 passes
 //    through verbatim. The parser decodes \uXXXX escapes (including
@@ -153,8 +156,10 @@ class Value {
 /// escaping '"', '\\', and control bytes; UTF-8 passes through.
 void AppendQuoted(std::string_view s, std::string* out);
 
-/// Render a finite double; integral values render as integers. NaN and
-/// infinities (not representable in JSON) render as null.
+/// Render a double: integral values below 2^53 (or with `integral` set) as
+/// integers, every other finite value as the shortest text that parses back
+/// to the same bits (std::to_chars, locale-free). NaN and infinities (not
+/// representable in JSON) render as null.
 std::string NumberToString(double v, bool integral);
 
 /// Strict parse of exactly one JSON document. `max_depth` bounds array /

@@ -1,8 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <limits>
 
 namespace newslink {
@@ -95,11 +94,10 @@ bool ParseUint32(std::string_view s, uint32_t* out) {
 
 bool ParseDouble(std::string_view s, double* out) {
   if (s.empty()) return false;
-  const std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (errno == ERANGE || end != buf.c_str() + buf.size()) return false;
+  double value;
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, value);
+  if (r.ec != std::errc() || r.ptr != end) return false;
   *out = value;
   return true;
 }

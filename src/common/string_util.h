@@ -36,6 +36,9 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// input detectable.
 bool ParseUint64(std::string_view s, uint64_t* out);
 bool ParseUint32(std::string_view s, uint32_t* out);
+/// ParseDouble reads what std::from_chars reads (the JSON codec's reader):
+/// locale-free, no leading whitespace or '+', and overflow or underflow to
+/// zero is rejected.
 bool ParseDouble(std::string_view s, double* out);
 bool ParseFloat(std::string_view s, float* out);
 

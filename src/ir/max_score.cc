@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "ir/top_k.h"
 
 namespace newslink {
 namespace ir {
+
+namespace {
+
+// A document's score is summed in query-term order, never in the order the
+// traversal happens to meet its terms (that order depends on the heap
+// threshold, so it differs between an index and a shard of it). The partial
+// sums the pruning tests add up may then differ from the pushed score in
+// the last bits, so every bound is inflated by this relative slack before
+// it meets the threshold. It is far above the rounding error of a sum of a
+// few thousand terms; a looser bound only means scoring a few more docs.
+constexpr double kBoundSlack = 1.0 + 1e-9;
+
+}  // namespace
 
 double MaxScoreRetriever::Score(uint32_t qtf, double idf,
                                 const Posting& posting, double avgdl) const {
@@ -52,6 +66,7 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
     double idf;
     uint32_t qtf;
     double bound;  // maximum possible contribution of this term
+    size_t query_pos;
   };
   std::vector<Term> terms;
   for (size_t i = 0; i < query.size(); ++i) {
@@ -79,7 +94,7 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
         bound = qtf * idf * TfBound(tf_cap, norm_min);
       }
     }
-    terms.push_back(Term{postings, blocks, idf, qtf, bound});
+    terms.push_back(Term{postings, blocks, idf, qtf, bound, i});
   }
   auto finish = [&](std::vector<ScoredDoc> result) {
     last_docs_scored_.store(scored, std::memory_order_relaxed);
@@ -96,9 +111,7 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
   if (terms.empty() || k == 0) return finish({});
 
   // Ascending by bound: terms[0..e) become non-essential as the threshold
-  // grows. Stable, so equal-bound terms keep their query order — a shard
-  // evaluating a sub-collection with CollectionStats accumulates per-doc
-  // contributions in the same sequence as a single index over the union.
+  // grows.
   std::stable_sort(terms.begin(), terms.end(),
                    [](const Term& a, const Term& b) {
                      return a.bound < b.bound;
@@ -110,6 +123,8 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
 
   TopKHeap heap(k);
   std::vector<size_t> cursor(terms.size(), 0);
+  // The current doc's (query position, contribution) pairs.
+  std::vector<std::pair<size_t, double>> parts;
   size_t first_essential = 0;
 
   auto advance_essential_split = [&]() {
@@ -118,7 +133,7 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
     // doc with a smaller id displaces the heap's worst entry.
     const double threshold = heap.Threshold();
     while (first_essential < terms.size() &&
-           prefix[first_essential + 1] < threshold) {
+           prefix[first_essential + 1] * kBoundSlack < threshold) {
       ++first_essential;
     }
   };
@@ -179,7 +194,7 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
       // displace the heap's worst entry), so only skip when even the upper
       // bound falls short. safe_end >= next, so the range is never empty
       // and the skip below always advances the cursor that defined `next`.
-      if (upper < heap.Threshold()) {
+      if (upper * kBoundSlack < heap.Threshold()) {
         for (size_t t = first_essential; t < terms.size(); ++t) {
           const PostingView& postings = terms[t].postings;
           if (cursor[t] >= postings.size()) continue;
@@ -198,12 +213,15 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
     }
 
     // Score essential terms at `next`, advancing their cursors.
-    double score = 0.0;
+    parts.clear();
+    double partial = 0.0;  // traversal-order sum: for the bound tests only
     for (size_t t = first_essential; t < terms.size(); ++t) {
       if (cursor[t] < terms[t].postings.size() &&
           terms[t].postings[cursor[t]].doc == next) {
-        score += Score(terms[t].qtf, terms[t].idf,
-                       terms[t].postings[cursor[t]], avgdl);
+        const double c = Score(terms[t].qtf, terms[t].idf,
+                               terms[t].postings[cursor[t]], avgdl);
+        parts.emplace_back(terms[t].query_pos, c);
+        partial += c;
         ++cursor[t];
       }
     }
@@ -212,17 +230,25 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
     // remaining bounds cannot reach the threshold. Strict comparison for
     // the same tie-displacement reason as above.
     for (size_t t = first_essential; t-- > 0;) {
-      if (score + prefix[t + 1] < heap.Threshold()) break;
+      if ((partial + prefix[t + 1]) * kBoundSlack < heap.Threshold()) break;
       const PostingView& postings = terms[t].postings;
       const auto it = std::lower_bound(
           postings.begin(), postings.end(), next,
           [](const Posting& p, DocId doc) { return p.doc < doc; });
       if (it != postings.end() && it->doc == next) {
-        score += Score(terms[t].qtf, terms[t].idf, *it, avgdl);
+        const double c = Score(terms[t].qtf, terms[t].idf, *it, avgdl);
+        parts.emplace_back(terms[t].query_pos, c);
+        partial += c;
       }
     }
 
     ++scored;
+    // Most scored docs miss the heap; only a possible entrant pays for the
+    // canonical score, the same query-order sum as ScoreAll/ScoreDoc.
+    if (partial * kBoundSlack < heap.Threshold()) continue;
+    std::sort(parts.begin(), parts.end());
+    double score = 0.0;
+    for (const auto& [pos, c] : parts) score += c;
     heap.Push(ScoredDoc{next, score});
   }
   return finish(heap.Take());

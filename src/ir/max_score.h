@@ -58,7 +58,10 @@ class MaxScoreRetriever {
   }
 
   /// Top-k documents for the query within `snapshot`, identical (including
-  /// tie order) to SelectTopK(Bm25Scorer::ScoreAll(query, snapshot), k).
+  /// tie order and every score bit) to
+  /// SelectTopK(Bm25Scorer::ScoreAll(query, snapshot), k): each document's
+  /// score is its per-term contributions summed in query-term order, as
+  /// ScoreAll and ScoreDoc sum them, whatever order pruning visits them in.
   /// Safe to call from many threads concurrently, including while a writer
   /// appends documents: the per-term upper bounds, idf, and avgdl are all
   /// derived from the snapshot, never from live index statistics, so a

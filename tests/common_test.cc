@@ -249,6 +249,26 @@ TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_FALSE(EndsWith("link", "newslink"));
 }
 
+TEST(StringUtilTest, ParseDoubleIsStrictAndShortestTextRoundTrips) {
+  double d = -1.0;
+  EXPECT_TRUE(ParseDouble("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(ParseDouble("-2.5e-3", &d));
+  EXPECT_EQ(d, -2.5e-3);
+  EXPECT_TRUE(ParseDouble("0.30000000000000004", &d));
+  EXPECT_EQ(d, 0.1 + 0.2);
+  // Rejected without touching *out: empty, trailing bytes, out of range.
+  d = 7.0;
+  for (const char* bad : {"", "1.5x", "1.5 ", " 1.5", "+1.5", "0x10", "1e400",
+                          "-1e400", "1e-400", "abc"}) {
+    EXPECT_FALSE(ParseDouble(bad, &d)) << "accepted: '" << bad << "'";
+  }
+  EXPECT_EQ(d, 7.0);
+  float f = 0.0f;
+  EXPECT_TRUE(ParseFloat("0.5", &f));
+  EXPECT_EQ(f, 0.5f);
+}
+
 TEST(StringUtilTest, StrCatMixedTypes) {
   EXPECT_EQ(StrCat("k=", 5, ", b=", 2.5), "k=5, b=2.5");
   EXPECT_EQ(StrCat(), "");

@@ -3,6 +3,13 @@
 // hostile strings, and the strict parser must reject malformed documents
 // with a useful byte offset instead of guessing.
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -130,6 +137,124 @@ TEST(JsonParserTest, ErrorsCarryByteOffset) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("at byte"), std::string::npos)
       << r.status().ToString();
+}
+
+/// The writer this codec replaced, kept here as an oracle: the shortest
+/// "%.*g" precision that strtod reads back to the same double.
+std::string TrialLoopNumberToString(double v) {
+  char buf[40];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Dump `v` alone and parse it back; the parsed double's bits must equal
+/// the original's, and the old writer's text must parse to them too.
+void ExpectBitExactRoundTrip(double v) {
+  const std::string text = Value::Number(v).Dump();
+  const Result<Value> back = Parse(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString() << " for " << text;
+  EXPECT_EQ(Bits(back.value().AsDouble()), Bits(v))
+      << text << " parsed to a different double";
+  const Result<Value> old = Parse(TrialLoopNumberToString(v));
+  ASSERT_TRUE(old.ok()) << TrialLoopNumberToString(v);
+  EXPECT_EQ(Bits(old.value().AsDouble()), Bits(back.value().AsDouble()))
+      << text << " vs old " << TrialLoopNumberToString(v);
+}
+
+TEST(JsonNumberTest, RandomBitPatternsRoundTripBitExact) {
+  std::mt19937_64 rng(20240613);
+  size_t checked = 0;
+  while (checked < 100000) {
+    const uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    // NaN and infinities render as null; -0.0 renders as the integer 0.
+    if (!std::isfinite(v) || v == 0.0) continue;
+    ExpectBitExactRoundTrip(v);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+    ++checked;
+  }
+}
+
+TEST(JsonNumberTest, EdgeCasesRoundTripBitExact) {
+  const double two53 = 9007199254740992.0;
+  const double edge[] = {
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN,
+      std::nextafter(DBL_MIN, 0.0),  // largest subnormal
+      DBL_MAX,
+      -DBL_MAX,
+      0.1 + 0.2,
+      0.1,
+      1.0 / 3.0,
+      0.0001,
+      1e-5,
+      two53 - 1,
+      two53,
+      two53 + 2,  // 2^53 + 1 is not representable
+      -(two53 + 2),
+      std::nextafter(two53, 0.0) + 0.5,
+      1e16,
+      1.2345678901234567e17,
+      6.9e19,
+      9.999999999999999e20,
+      1e21,
+      1e22,
+      123.456,
+      -2.5e-300,
+  };
+  for (double v : edge) ExpectBitExactRoundTrip(v);
+}
+
+TEST(JsonNumberTest, WriterTextIsShortest) {
+  EXPECT_EQ(NumberToString(0.1 + 0.2, false), "0.30000000000000004");
+  EXPECT_EQ(NumberToString(0.25, false), "0.25");
+  EXPECT_EQ(NumberToString(-1.5, false), "-1.5");
+  EXPECT_EQ(NumberToString(5e-324, false), "5e-324");
+  // Integral values below 2^53 stay plain integers.
+  EXPECT_EQ(NumberToString(1e15, false), "1000000000000000");
+  EXPECT_EQ(NumberToString(-0.0, false), "0");
+  EXPECT_EQ(NumberToString(3.0, true), "3");
+  // DumpTo appends the same text.
+  Value arr = Value::Array();
+  arr.Append(Value::Number(0.1));
+  arr.Append(Value::Int(-7));
+  EXPECT_EQ(arr.Dump(), "[0.1,-7]");
+}
+
+TEST(JsonNumberTest, OverflowRejectedUnderflowReadsAsSignedZero) {
+  EXPECT_FALSE(Parse("1e400").ok());
+  EXPECT_FALSE(Parse("-1e400").ok());
+  EXPECT_FALSE(Parse("1.7976931348623159e308").ok());
+  EXPECT_FALSE(Parse("[1e99999999999999999999999]").ok());
+  const std::string huge_int = "1" + std::string(400, '0');
+  EXPECT_FALSE(Parse(huge_int).ok());
+  EXPECT_FALSE(Parse(huge_int + "e-80").ok());
+  EXPECT_TRUE(Parse(huge_int + "e-300").ok());
+
+  const Value tiny = MustParse("1e-400");
+  EXPECT_EQ(Bits(tiny.AsDouble()), Bits(0.0));
+  EXPECT_FALSE(tiny.integral());
+  EXPECT_EQ(Bits(MustParse("-1e-400").AsDouble()), Bits(-0.0));
+  EXPECT_EQ(Bits(MustParse("2e-324").AsDouble()), Bits(0.0));
+  EXPECT_EQ(Bits(MustParse("0." + std::string(400, '0') + "1e+5").AsDouble()),
+            Bits(0.0));
+  EXPECT_EQ(Bits(MustParse("1e-99999999999999999999999").AsDouble()),
+            Bits(0.0));
+  // Subnormals parse to their value, not to an error.
+  EXPECT_EQ(MustParse("4.9406564584124654e-324").AsDouble(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(MustParse("0e999999").AsDouble(), 0.0);
 }
 
 }  // namespace

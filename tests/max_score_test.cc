@@ -15,25 +15,15 @@ namespace newslink {
 namespace ir {
 namespace {
 
-/// DAAT sums term contributions in a different order than TAAT, so scores
-/// can differ by a few ULPs; compare with tolerance. Ranks may swap only
-/// between docs whose scores tie within the tolerance.
+/// MaxScore sums each document's term contributions in query-term order,
+/// exactly as TAAT ScoreAll does, so the two top-k lists must agree
+/// entry for entry: same documents, same order, same score bits.
 void ExpectSameTopK(const std::vector<ScoredDoc>& actual,
                     const std::vector<ScoredDoc>& expected) {
   ASSERT_EQ(actual.size(), expected.size());
-  std::map<DocId, double> expected_scores;
-  for (const ScoredDoc& s : expected) expected_scores[s.doc] = s.score;
   for (size_t i = 0; i < actual.size(); ++i) {
-    auto it = expected_scores.find(actual[i].doc);
-    if (it != expected_scores.end()) {
-      EXPECT_NEAR(actual[i].score, it->second, 1e-9) << "doc " << actual[i].doc;
-    } else {
-      // Doc differs: must be a near-tie swap at the boundary.
-      EXPECT_NEAR(actual[i].score, expected[i].score, 1e-9) << "rank " << i;
-    }
-    if (i > 0) {
-      EXPECT_LE(actual[i].score, actual[i - 1].score + 1e-9);
-    }
+    EXPECT_EQ(actual[i].doc, expected[i].doc) << "rank " << i;
+    EXPECT_EQ(actual[i].score, expected[i].score) << "rank " << i;
   }
 }
 
@@ -138,8 +128,8 @@ TEST(MaxScoreTest, PruningSkipsDocuments) {
 
 TEST(MaxScoreTest, EquivalencePropertyRandomCorporaAndQueries) {
   // Property sweep: on random corpora and random queries the pruned
-  // retriever returns the SAME document set as exhaustive TAAT, each score
-  // within 1e-9, with ties broken towards smaller doc ids on both sides.
+  // retriever returns the SAME documents as exhaustive TAAT in the same
+  // order with bit-identical scores, ties broken towards smaller doc ids.
   for (const uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
     const size_t num_docs = 100 + (seed % 7) * 50;
     InvertedIndex index = MakeRandomIndex(seed, num_docs, 250, 30);
@@ -175,7 +165,8 @@ TEST(MaxScoreTest, EquivalencePropertyRandomCorporaAndQueries) {
           << "seed " << seed << " trial " << trial << ": doc sets differ";
 
       for (size_t i = 0; i < pruned.size(); ++i) {
-        EXPECT_NEAR(pruned[i].score, exact[i].score, 1e-9);
+        EXPECT_EQ(pruned[i].doc, exact[i].doc);
+        EXPECT_EQ(pruned[i].score, exact[i].score);
         if (i > 0 && pruned[i].score == pruned[i - 1].score) {
           EXPECT_LT(pruned[i - 1].doc, pruned[i].doc)
               << "exact ties must order by doc id";

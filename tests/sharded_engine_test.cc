@@ -4,10 +4,12 @@
 // shard count, any partition, across epochs (mid-run AddDocument), and for
 // batches; snapshots round-trip the partition permutation.
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -121,6 +123,53 @@ TEST_F(ShardedEngineTest, MatchesSingleEngineForAnyShardCountAndPartition) {
   }
 }
 
+TEST_F(ShardedEngineTest, LongQueriesUnderPruningMatchBitForBit) {
+  // Long multi-term queries with a rerank depth of 1: each shard's MaxScore
+  // heap fills at once, so every shard's threshold, and with it the split
+  // into essential and non-essential terms, differs from the single
+  // engine's. Scores must still be bit-identical, because every document's
+  // term contributions are summed in query order whatever order pruning
+  // meets them in.
+  NewsLinkConfig config = EngineConfig();
+  config.rerank_depth = 1;
+  NewsLinkEngine single(&kg_.graph, &index_, config);
+  ASSERT_TRUE(single.Index(corpus_.corpus).ok());
+
+  Rng rng(9090);
+  for (const size_t n_shards : {2u, 3u, 7u}) {
+    ShardedOptions options;
+    options.num_shards = n_shards;
+    options.partition = ShardedOptions::Partition::kExplicit;
+    options.assignment.resize(corpus_.corpus.size());
+    for (uint32_t& s : options.assignment) {
+      s = static_cast<uint32_t>(rng.Uniform(n_shards));
+    }
+    ShardedEngine sharded(&kg_.graph, &index_, config, options);
+    ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
+
+    for (int trial = 0; trial < 8; ++trial) {
+      // Whole documents glued together: dozens of distinct terms.
+      std::string query;
+      for (int part = 0; part < 3; ++part) {
+        query += corpus_.corpus.doc(rng.Uniform(corpus_.corpus.size())).text;
+        query += " ";
+      }
+      // One side at a time (text, then KG nodes): a fused query with a
+      // rerank depth this shallow merges more candidates sharded than
+      // single, which is a candidate-set question, not a scoring one.
+      for (const double beta : {0.0, 1.0}) {
+        baselines::SearchRequest request;
+        request.query = query;
+        request.k = 1 + rng.Uniform(4);
+        request.beta = beta;
+        ExpectSameResponse(sharded.Search(request), single.Search(request),
+                           StrCat(n_shards, " shards, trial ", trial,
+                                  ", beta ", beta));
+      }
+    }
+  }
+}
+
 TEST_F(ShardedEngineTest, MatchesSingleEngineAcrossEpochs) {
   // Hold the last documents out of the bulk index and ingest them live:
   // the sharded engine routes them to the write shard, the single engine
@@ -216,8 +265,9 @@ TEST_F(ShardedEngineTest, SnapshotRoundTripsPartitionAndResults) {
   ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
   ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
 
-  const std::string path =
-      testing::TempDir() + "/sharded_engine_test.snapshot";
+  // Pid-suffixed: `ctest -j` runs test cases as concurrent processes.
+  const std::string path = testing::TempDir() + "sharded_engine_test_" +
+                           std::to_string(getpid()) + ".snapshot";
   ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
 
   ShardedEngine warm(&kg_.graph, &index_, EngineConfig(), options);
@@ -238,6 +288,10 @@ TEST_F(ShardedEngineTest, SnapshotRoundTripsPartitionAndResults) {
   ShardedEngine mismatched(&kg_.graph, &index_, EngineConfig(), wrong);
   const Status status = mismatched.LoadSnapshot(path);
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  std::remove(path.c_str());
+  for (size_t s = 0; s < options.num_shards; ++s) {
+    std::remove(StrCat(path, ".shard", s).c_str());
+  }
 }
 
 TEST_F(ShardedEngineTest, ExplicitPartitionValidatesAssignment) {

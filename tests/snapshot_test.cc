@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <span>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/logging.h"
 #include "common/binary_io.h"
@@ -27,6 +29,25 @@
 
 namespace newslink {
 namespace {
+
+/// `name` inside this process's own directory under the test temp dir:
+/// `ctest -j` runs every test case as its own process, and each of them
+/// saves the shared fixture's snapshot, so a fixed name would race. The
+/// directory is removed when the process exits.
+std::string TempPath(const std::string& name) {
+  struct Dir {
+    const std::filesystem::path path =
+        std::filesystem::path(testing::TempDir()) /
+        ("snapshot_test_" + std::to_string(getpid()));
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Dir dir;
+  return (dir.path / name).string();
+}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -52,7 +73,7 @@ struct SharedState {
         news(MakeNews(&world)),
         engine(&world.graph, &labels, NewsLinkConfig{}) {
     NL_CHECK(engine.Index(news.corpus).ok());
-    snapshot_path = testing::TempDir() + "snapshot_test_main.snap";
+    snapshot_path = TempPath("snapshot_test_main.snap");
     save_status = engine.SaveSnapshot(snapshot_path);
     if (save_status.ok()) snapshot_bytes = ReadFileBytes(snapshot_path);
   }
@@ -152,7 +173,7 @@ TEST_F(SnapshotTest, ResaveOfLoadedSnapshotIsByteIdentical) {
   SharedState& s = State();
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
   ASSERT_TRUE(loaded.LoadSnapshot(s.snapshot_path).ok());
-  const std::string resave_path = testing::TempDir() + "snapshot_resave.snap";
+  const std::string resave_path = TempPath("snapshot_resave.snap");
   const Status status = loaded.SaveSnapshot(resave_path);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(ReadFileBytes(resave_path), s.snapshot_bytes);
@@ -167,7 +188,7 @@ TEST_F(SnapshotTest, IngestionContinuesOnLoadedSnapshot) {
   for (size_t i = 0; i < cut; ++i) partial.Add(full.doc(i));
 
   // Build + save over the truncated corpus, then load and ingest the tail.
-  const std::string path = testing::TempDir() + "snapshot_partial.snap";
+  const std::string path = TempPath("snapshot_partial.snap");
   {
     NewsLinkEngine builder(&s.world.graph, &s.labels, NewsLinkConfig{});
     ASSERT_TRUE(builder.Index(partial).ok());
@@ -249,13 +270,13 @@ TEST_F(SnapshotTest, LoadRejectsMissingFile) {
   SharedState& s = State();
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
   const Status status =
-      engine.LoadSnapshot(testing::TempDir() + "no_such_snapshot.snap");
+      engine.LoadSnapshot(TempPath("no_such_snapshot.snap"));
   EXPECT_FALSE(status.ok());
 }
 
 TEST_F(SnapshotTest, TruncatedSnapshotsAlwaysFailCleanly) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "snapshot_truncated.snap";
+  const std::string path = TempPath("snapshot_truncated.snap");
   // One engine reused across the whole sweep: a failed load must leave it
   // empty and usable, so hundreds of failures in a row are fine.
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
@@ -276,7 +297,7 @@ TEST_F(SnapshotTest, TruncatedSnapshotsAlwaysFailCleanly) {
 
 TEST_F(SnapshotTest, BitFlippedSnapshotsAlwaysFailCleanly) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "snapshot_bitflip.snap";
+  const std::string path = TempPath("snapshot_bitflip.snap");
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
   // Every byte of the file is covered by the magic check, the per-section
   // CRCs, or the whole-file CRC, so ANY single-bit flip must be rejected.
@@ -310,7 +331,7 @@ TEST_F(SnapshotTest, StaleFormatVersionIsRejectedOutright) {
     stale[stale.size() - 4 + static_cast<size_t>(i)] =
         static_cast<char>((crc >> (8 * i)) & 0xFF);
   }
-  const std::string path = testing::TempDir() + "snapshot_stale_version.snap";
+  const std::string path = TempPath("snapshot_stale_version.snap");
   WriteFileBytes(path, stale);
 
   const Result<SnapshotFile> parsed = ReadSnapshotFile(path);
@@ -348,7 +369,7 @@ TEST_F(SnapshotTest, CorruptDocMapSectionIsRejected) {
 
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
   const size_t n = file->header.num_docs;
-  const std::string path = testing::TempDir() + "snapshot_bad_docmap.snap";
+  const std::string path = TempPath("snapshot_bad_docmap.snap");
 
   {
     // Right count, but every entry is 0: not a permutation.
@@ -394,7 +415,7 @@ TEST_F(SnapshotTest, ReorderedEngineRoundTripsThroughSnapshot) {
   config.reorder_docs = true;
   NewsLinkEngine source(&s.world.graph, &s.labels, config);
   ASSERT_TRUE(source.Index(s.news.corpus).ok());
-  const std::string path = testing::TempDir() + "snapshot_reordered.snap";
+  const std::string path = TempPath("snapshot_reordered.snap");
   ASSERT_TRUE(source.SaveSnapshot(path).ok());
 
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
@@ -412,7 +433,7 @@ TEST_F(SnapshotTest, ReorderedEngineRoundTripsThroughSnapshot) {
     }
   }
 
-  const std::string resave = testing::TempDir() + "snapshot_reordered2.snap";
+  const std::string resave = TempPath("snapshot_reordered2.snap");
   ASSERT_TRUE(loaded.SaveSnapshot(resave).ok());
   EXPECT_EQ(ReadFileBytes(resave), ReadFileBytes(path));
 }
@@ -427,7 +448,7 @@ TEST_F(SnapshotTest, SketchSnapshotRoundTripsAndResavesByteIdentical) {
   sketch_config.lcag_sketch.enabled = true;
   NewsLinkEngine source(&s.world.graph, &s.labels, sketch_config);
   ASSERT_TRUE(source.Index(s.news.corpus).ok());
-  const std::string path = testing::TempDir() + "snapshot_sketch.snap";
+  const std::string path = TempPath("snapshot_sketch.snap");
   ASSERT_TRUE(source.SaveSnapshot(path).ok());
 
   const Result<SnapshotFile> file = ReadSnapshotFile(path);
@@ -454,7 +475,7 @@ TEST_F(SnapshotTest, SketchSnapshotRoundTripsAndResavesByteIdentical) {
 
   // Byte-identical re-save: the loader installed the persisted sketches
   // (it did not rebuild them) and the codec is deterministic.
-  const std::string resave = testing::TempDir() + "snapshot_sketch2.snap";
+  const std::string resave = TempPath("snapshot_sketch2.snap");
   ASSERT_TRUE(plain.SaveSnapshot(resave).ok());
   EXPECT_EQ(ReadFileBytes(resave), ReadFileBytes(path));
 }
@@ -467,7 +488,7 @@ TEST_F(SnapshotTest, CorruptSketchSectionIsRejected) {
   sketch_config.lcag_sketch.enabled = true;
   NewsLinkEngine source(&s.world.graph, &s.labels, sketch_config);
   ASSERT_TRUE(source.Index(s.news.corpus).ok());
-  const std::string path = testing::TempDir() + "snapshot_sketch_bad0.snap";
+  const std::string path = TempPath("snapshot_sketch_bad0.snap");
   ASSERT_TRUE(source.SaveSnapshot(path).ok());
   const Result<SnapshotFile> file = ReadSnapshotFile(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
@@ -486,7 +507,7 @@ TEST_F(SnapshotTest, CorruptSketchSectionIsRejected) {
   };
 
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
-  const std::string bad = testing::TempDir() + "snapshot_sketch_bad.snap";
+  const std::string bad = TempPath("snapshot_sketch_bad.snap");
   {
     // Truncated payload: the codec's declared counts over-promise.
     std::vector<uint8_t> cut(sketch_section->payload.begin(),
@@ -593,7 +614,7 @@ TEST_F(SnapshotTest, TimestampCountMismatchIsRejected) {
   };
 
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
-  const std::string path = testing::TempDir() + "snapshot_bad_ts.snap";
+  const std::string path = TempPath("snapshot_bad_ts.snap");
   const uint64_t n = file->header.num_docs;
   for (uint64_t count : {n - 1, n + 1, uint64_t{0}}) {
     rewrite(count, path);
@@ -622,7 +643,7 @@ TEST_F(SnapshotTest, MissingTimestampsSectionLoadsWithRecencyDisabled) {
     if (section.name != "timestamps") sections.push_back(section);
   }
   ASSERT_LT(sections.size(), file->sections.size());
-  const std::string path = testing::TempDir() + "snapshot_no_ts.snap";
+  const std::string path = TempPath("snapshot_no_ts.snap");
   ASSERT_TRUE(WriteSnapshotFile(path, file->header, sections).ok());
 
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
@@ -654,7 +675,7 @@ TEST_F(SnapshotTest, MissingTimestampsSectionLoadsWithRecencyDisabled) {
 
   // A re-save writes the (all-zero) section back: the format always
   // carries it going forward.
-  const std::string resave = testing::TempDir() + "snapshot_no_ts2.snap";
+  const std::string resave = TempPath("snapshot_no_ts2.snap");
   ASSERT_TRUE(loaded.SaveSnapshot(resave).ok());
   const Result<SnapshotFile> rewritten = ReadSnapshotFile(resave);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -667,7 +688,7 @@ TEST_F(SnapshotTest, MissingTimestampsSectionLoadsWithRecencyDisabled) {
 
 TEST_F(SnapshotTest, LoadEmbeddingsRejectsTruncatedRecord) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "embeddings_trunc.txt";
+  const std::string path = TempPath("embeddings_trunc.txt");
   const std::vector<embed::DocumentEmbedding> embeddings =
       s.engine.SnapshotEmbeddings();
   ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
@@ -686,7 +707,7 @@ TEST_F(SnapshotTest, LoadEmbeddingsRejectsTruncatedRecord) {
 
 TEST_F(SnapshotTest, LoadEmbeddingsRejectsCorruptNumbers) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "embeddings_corrupt.txt";
+  const std::string path = TempPath("embeddings_corrupt.txt");
   const std::vector<embed::DocumentEmbedding> embeddings =
       s.engine.SnapshotEmbeddings();
   ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
@@ -741,7 +762,7 @@ TEST_F(SnapshotTest, BinaryEmbeddingCodecRoundTripsAndRejectsTruncation) {
 }
 
 TEST_F(SnapshotTest, CorpusLoaderRejectsCorruptStoryId) {
-  const std::string path = testing::TempDir() + "corpus_corrupt.tsv";
+  const std::string path = TempPath("corpus_corrupt.tsv");
   WriteFileBytes(path, "d1\t2x\t0\tTitle\tBody\n");
   const Result<corpus::Corpus> loaded = corpus::LoadTsv(path);
   ASSERT_FALSE(loaded.ok());

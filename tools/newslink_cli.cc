@@ -119,8 +119,14 @@ struct Flags {
   }
   double GetDouble(const std::string& name, double fallback) const {
     auto it = named.find(name);
-    return it == named.end() ? fallback
-                             : std::strtod(it->second.c_str(), nullptr);
+    if (it == named.end()) return fallback;
+    double value;
+    if (!ParseDouble(it->second, &value)) {
+      std::fprintf(stderr, "flag --%s: not a number: %s\n", name.c_str(),
+                   it->second.c_str());
+      std::exit(2);
+    }
+    return value;
   }
 };
 
