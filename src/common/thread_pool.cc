@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace newslink {
 
@@ -50,26 +51,40 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   if (t_worker_pool == this) {
     // Called from one of our own workers (e.g. a submitted task fans out):
-    // Wait() below would block this worker while the loop tasks sit behind
-    // it in the queue — with all workers occupied by such callers, nobody
-    // ever drains the queue. Run the loop inline on this thread instead.
+    // the other workers may all be such callers, so run the loop inline on
+    // this thread rather than queue helpers nobody is free to run.
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // One task per worker strided over [0, n): cheap for small n, balanced
-  // enough for our document-granularity workloads.
-  auto counter = std::make_shared<std::atomic<size_t>>(0);
-  const size_t workers = std::min(n, threads_.size());
-  for (size_t w = 0; w < workers; ++w) {
-    Submit([counter, n, &fn] {
-      while (true) {
-        const size_t i = counter->fetch_add(1);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  Wait();
+  // The caller and up to num_threads() - 1 helper tasks claim items from
+  // a shared counter, and the caller waits for THIS call's items only —
+  // not for the whole pool to go idle, which would make every concurrent
+  // caller wait on every other caller's work. A helper that starts after
+  // the last item was claimed finds nothing to do and never touches fn.
+  struct Call {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable done_cv;
+    size_t done = 0;  // guarded by mu
+  };
+  auto call = std::make_shared<Call>();
+  const auto run = [call, n, &fn] {
+    size_t finished = 0;
+    for (size_t i = call->next.fetch_add(1); i < n;
+         i = call->next.fetch_add(1)) {
+      fn(i);
+      ++finished;
+    }
+    if (finished == 0) return;
+    std::lock_guard<std::mutex> lock(call->mu);
+    call->done += finished;
+    if (call->done == n) call->done_cv.notify_all();
+  };
+  const size_t helpers = std::min(n, threads_.size()) - 1;
+  for (size_t w = 0; w < helpers; ++w) Submit(run);
+  run();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->done_cv.wait(lock, [&call, n] { return call->done == n; });
 }
 
 void ThreadPool::WorkerLoop() {

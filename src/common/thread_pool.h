@@ -30,11 +30,14 @@ class ThreadPool {
   /// Enqueue a task for asynchronous execution.
   void Submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
+  /// Block until every submitted task has finished (the whole pool idle).
   void Wait();
 
-  /// Run fn(i) for i in [0, n), partitioned across the pool, and wait.
-  /// fn must be safe to call concurrently for distinct i.
+  /// Run fn(i) for i in [0, n), partitioned across the pool and the calling
+  /// thread, and wait for those n items only: concurrent callers and
+  /// unrelated submitted tasks never delay each other's return. Called
+  /// from one of this pool's workers, the loop runs inline. fn must be safe
+  /// to call concurrently for distinct i.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const { return threads_.size(); }

@@ -192,10 +192,6 @@ Result<baselines::SearchRequest> SearchRequestFromJson(
   }
   baselines::SearchRequest request;
   bool have_query = false;
-  bool have_ranking = false;
-  // First deprecated flat alias seen — a request mixing the legacy flat
-  // ranking fields with a "ranking" object is ambiguous and rejected.
-  const char* legacy_alias = nullptr;
   for (const auto& [key, field] : value.members()) {
     if (key == "query") {
       NL_ASSIGN_OR_RETURN(request.query, AsStringStrict(field, key));
@@ -204,26 +200,8 @@ Result<baselines::SearchRequest> SearchRequestFromJson(
       NL_ASSIGN_OR_RETURN(request.k, AsSize(field, key));
     } else if (key == "ranking") {
       NL_RETURN_IF_ERROR(RankingFromJson(field, &request));
-      have_ranking = true;
     } else if (key == "filter") {
       NL_RETURN_IF_ERROR(FilterFromJson(field, &request.time_range));
-    } else if (key == "beta") {
-      // DEPRECATED alias of "ranking.beta".
-      if (field.type() != json::Value::Type::kNumber) {
-        return Status::InvalidArgument("\"beta\" must be a number");
-      }
-      request.beta = field.AsDouble();
-      legacy_alias = "beta";
-    } else if (key == "rerank_depth") {
-      // DEPRECATED alias of "ranking.rerank_depth".
-      NL_ASSIGN_OR_RETURN(size_t depth, AsSize(field, key));
-      request.rerank_depth = depth;
-      legacy_alias = "rerank_depth";
-    } else if (key == "exhaustive_fusion") {
-      // DEPRECATED alias of "ranking.exhaustive".
-      NL_ASSIGN_OR_RETURN(bool flag, AsBoolStrict(field, key));
-      request.exhaustive_fusion = flag;
-      legacy_alias = "exhaustive_fusion";
     } else if (key == "explain") {
       NL_ASSIGN_OR_RETURN(request.explain, AsBoolStrict(field, key));
     } else if (key == "max_paths") {
@@ -243,12 +221,6 @@ Result<baselines::SearchRequest> SearchRequestFromJson(
       return Status::InvalidArgument(
           StrCat("unknown search request field: \"", key, "\""));
     }
-  }
-  if (have_ranking && legacy_alias != nullptr) {
-    return Status::InvalidArgument(
-        StrCat("\"", legacy_alias,
-               "\" is a deprecated alias of the \"ranking\" object; a "
-               "request must use one shape, not both"));
   }
   if (!have_query || request.query.empty()) {
     return Status::InvalidArgument("\"query\" is required and must be non-empty");

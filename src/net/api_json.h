@@ -64,13 +64,9 @@ Result<json::Value> DecodeEnvelope(std::string_view body);
 ///    "deadline_seconds": 0.2, "api_version": 1}
 /// Only "query" is required; everything else falls back to the engine's
 /// defaults. "time_range" is half-open [after_ms, before_ms): inclusive
-/// after, exclusive before; either bound may be omitted.
-///
-/// DEPRECATED aliases: the pre-grouping flat fields "beta",
-/// "rerank_depth", and "exhaustive_fusion" are still accepted so existing
-/// clients keep working, but mixing any of them with a "ranking" object in
-/// one request is InvalidArgument (400) — a request speaks exactly one
-/// shape. Unknown fields and wrong types are InvalidArgument.
+/// after, exclusive before; either bound may be omitted. Unknown fields —
+/// the removed flat ranking fields "beta", "rerank_depth", and
+/// "exhaustive_fusion" among them — and wrong types are InvalidArgument.
 Result<baselines::SearchRequest> SearchRequestFromJson(
     const json::Value& value);
 

@@ -1,17 +1,12 @@
 #include "net/coordinator_service.h"
 
 #include <algorithm>
-#include <atomic>
-#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "common/trace.h"
 #include "net/api_json.h"
 #include "net/search_service.h"
 #include "net/status_http.h"
-#include "newslink/shard_merge.h"
 
 namespace newslink {
 namespace net {
@@ -29,24 +24,28 @@ HttpResponse JsonOk(const json::Value& body, int status = 200) {
 }  // namespace
 
 CoordinatorService::CoordinatorService(
-    const newslink::NewsLinkEngine* prep, NewsLinkConfig config,
+    const newslink::NewsLinkEngine* prep,
     std::vector<std::unique_ptr<ShardClient>> shards,
     CoordinatorOptions options)
     : prep_(prep),
-      config_(config),
       shards_(std::move(shards)),
       options_(options),
       pool_(std::max<size_t>(shards_.size(), 1)),
-      queries_(prep_->mutable_metrics()->GetCounter(baselines::kEngineQueries)),
-      query_seconds_(prep_->mutable_metrics()->GetHistogram(
-          baselines::kEngineQuerySeconds)),
-      degraded_(prep_->mutable_metrics()->GetCounter(
-          kCoordinatorDegraded, "responses merged over a partial shard set")),
-      shard_errors_(prep_->mutable_metrics()->GetCounter(
-          kCoordinatorShardErrors, "shard RPCs that failed or timed out")),
+      scatter_gather_(&pool_, prep_->mutable_metrics(), nullptr),
       rejected_(prep_->mutable_metrics()->GetCounter(
           kSearchRejected, "searches refused by admission control")) {
   NL_CHECK(!shards_.empty()) << "coordinator needs at least one shard";
+  const size_t n = shards_.size();
+  backends_.reserve(n);
+  targets_.prep = prep_;
+  for (size_t s = 0; s < n; ++s) {
+    backends_.emplace_back(shards_[s].get(), options_.shard_deadline_seconds);
+    targets_.partitions.push_back({&backends_[s], StrCat("shard", s)});
+  }
+  // Round-robin partition: shard s's local row l is global row l*n + s.
+  targets_.to_global = [n](size_t s, uint32_t local) {
+    return static_cast<uint32_t>(local * n + s);
+  };
 }
 
 std::string CoordinatorService::name() const {
@@ -66,206 +65,7 @@ void CoordinatorService::RegisterRoutes(HttpServer* server) {
 
 baselines::SearchResponse CoordinatorService::Search(
     const baselines::SearchRequest& request) const {
-  const double beta = request.beta.value_or(config_.beta);
-  const size_t k = request.k;
-  const size_t n = shards_.size();
-
-  WallTimer deadline_timer;
-  const double deadline = request.deadline_seconds.value_or(0.0);
-  // Budget for the next shard RPC: the per-shard cap, tightened by
-  // whatever remains of the request's own deadline. <= 0 means the
-  // request deadline already passed — skip the call entirely.
-  const auto wire_budget = [this, &deadline_timer, deadline]() {
-    double budget = options_.shard_deadline_seconds;
-    if (deadline > 0.0) {
-      const double left = deadline - deadline_timer.ElapsedSeconds();
-      budget = budget > 0.0 ? std::min(budget, left) : left;
-      if (left <= 0.0) return -1.0;
-    }
-    return budget;
-  };
-
-  Trace query_trace;
-  // Anchor for the hand-spliced shard spans below (a Trace is
-  // single-threaded; shard wall times are recorded in the workers).
-  WallTimer trace_timer;
-  const size_t root_handle = query_trace.Begin("search");
-
-  baselines::SearchResponse response;
-  response.shards_total = n;
-
-  // --- NLP + NE on the query: once, at the coordinator ------------------
-  embed::DocumentEmbedding query_embedding;
-  {
-    ScopedSpan span(&query_trace, "nlp");
-    const text::SegmentedDocument segmented =
-        prep_->SegmentText(request.query);
-    query_trace.Note("segments", std::to_string(segmented.segments.size()));
-  }
-  {
-    ScopedSpan span(&query_trace, "ne");
-    if (beta > 0.0) {
-      query_embedding = prep_->EmbedText(request.query);
-    } else {
-      query_trace.Note("skipped", "beta=0");
-    }
-  }
-
-  // --- NS: two-phase scatter-gather over RPC ------------------------------
-  std::vector<std::unique_ptr<ShardSearchResult>> results(n);
-  std::vector<std::string> shard_errors(n);
-  std::vector<double> shard_start(n, 0.0);
-  std::vector<double> shard_seconds(n, 0.0);
-  std::atomic<bool> timed_out{false};
-  {
-    ScopedSpan span(&query_trace, "ns");
-    const ShardQuery shard_query =
-        prep_->PrepareShardQuery(request, query_embedding);
-
-    // Whether any answering shard holds real timestamps (drives the merge's
-    // recency decay); re-derived per round with the rest of the merged plan.
-    bool collection_has_timestamps = false;
-    // A shard whose epoch moves between PLAN and SEARCH answers 409; the
-    // whole round restarts once, because its new statistics change the
-    // collection-wide view every other shard scored with.
-    for (int round = 0; round < 2; ++round) {
-      std::vector<std::optional<ShardPlan>> plans(n);
-      pool_.ParallelFor(n, [&](size_t s) {
-        const double budget = wire_budget();
-        if (budget <= 0.0 && deadline > 0.0) {
-          shard_errors[s] = "TIMEOUT: request deadline exhausted";
-          timed_out.store(true, std::memory_order_relaxed);
-          return;
-        }
-        Result<ShardPlanRpcResponse> plan =
-            shards_[s]->Plan(shard_query, budget);
-        if (plan.ok()) {
-          plans[s] = std::move(plan->plan);
-          shard_errors[s].clear();
-        } else {
-          shard_errors[s] = plan.status().ToString();
-          if (plan.status().IsTimeout()) {
-            timed_out.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-
-      ShardGlobalStats global;
-      size_t planned = 0;
-      for (const std::optional<ShardPlan>& plan : plans) {
-        if (plan.has_value()) {
-          MergeShardPlan(*plan, &global);
-          ++planned;
-        }
-      }
-      if (planned == 0) break;
-      collection_has_timestamps = global.has_timestamps;
-
-      std::atomic<bool> epoch_moved{false};
-      pool_.ParallelFor(n, [&](size_t s) {
-        if (!plans[s].has_value()) return;
-        const double budget = wire_budget();
-        if (budget <= 0.0 && deadline > 0.0) {
-          shard_errors[s] = "TIMEOUT: request deadline exhausted";
-          timed_out.store(true, std::memory_order_relaxed);
-          return;
-        }
-        shard_start[s] = trace_timer.ElapsedSeconds();
-        WallTimer timer;
-        Result<ShardSearchRpcResponse> result =
-            shards_[s]->Search(shard_query, global, plans[s]->epoch, budget);
-        shard_seconds[s] = timer.ElapsedSeconds();
-        if (result.ok()) {
-          results[s] =
-              std::make_unique<ShardSearchResult>(std::move(result->result));
-          shard_errors[s].clear();
-        } else {
-          shard_errors[s] = result.status().ToString();
-          if (result.status().IsFailedPrecondition()) {
-            epoch_moved.store(true, std::memory_order_relaxed);
-          }
-          if (result.status().IsTimeout()) {
-            timed_out.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-      if (!epoch_moved.load(std::memory_order_relaxed)) break;
-      if (round == 0) {
-        // Results scored against the stale merge must not mix with the
-        // retry's — drop everything and re-plan at the new epochs.
-        for (std::unique_ptr<ShardSearchResult>& r : results) r.reset();
-      }
-    }
-
-    ShardFuseParams fuse;
-    fuse.beta = beta;
-    fuse.use_bow = shard_query.use_bow;
-    fuse.use_bon = shard_query.use_bon;
-    fuse.k = k;
-    fuse.recency_half_life_s = shard_query.recency_half_life_s;
-    fuse.now_ms = shard_query.now_ms;
-    fuse.has_timestamps = collection_has_timestamps;
-    std::vector<const ShardSearchResult*> ptrs(n);
-    for (size_t s = 0; s < n; ++s) ptrs[s] = results[s].get();
-    // Round-robin partition: shard s's local row l is global row l*n + s.
-    const std::vector<ir::ScoredDoc> merged = MergeShardCandidates(
-        fuse, ptrs, [n](size_t s, uint32_t local) {
-          return static_cast<uint32_t>(local * n + s);
-        });
-    response.hits.reserve(merged.size());
-    for (const ir::ScoredDoc& scored : merged) {
-      baselines::SearchHit hit;
-      hit.doc_index = scored.doc;
-      hit.score = scored.score;
-      response.hits.push_back(std::move(hit));
-    }
-    query_trace.Note("shards", std::to_string(n));
-  }
-
-  for (size_t s = 0; s < n; ++s) {
-    if (results[s] == nullptr) continue;
-    ++response.shards_answered;
-    response.epoch += results[s]->epoch;
-    response.snapshot_docs += results[s]->snapshot_docs;
-  }
-  response.degraded = response.shards_answered < response.shards_total;
-  if (response.degraded) degraded_->Inc();
-  if (timed_out.load(std::memory_order_relaxed)) {
-    response.deadline_exceeded = true;
-    query_trace.Note("deadline_exceeded", "true");
-  }
-  for (const std::string& error : shard_errors) {
-    if (!error.empty()) shard_errors_->Inc();
-  }
-
-  query_trace.End(root_handle);
-  TraceSpan root = query_trace.Finish();
-  // One span child per shard under "ns", timed in the workers above.
-  for (TraceSpan& child : root.children) {
-    if (child.name != "ns") continue;
-    for (size_t s = 0; s < n; ++s) {
-      TraceSpan shard_span;
-      shard_span.name = StrCat("shard", s);
-      shard_span.start_seconds = shard_start[s];
-      shard_span.duration_seconds = shard_seconds[s];
-      if (results[s] != nullptr) {
-        shard_span.notes.push_back(
-            {"epoch", std::to_string(results[s]->epoch)});
-        shard_span.notes.push_back(
-            {"candidates", std::to_string(results[s]->candidates.size())});
-      } else {
-        shard_span.notes.push_back({"error", shard_errors[s]});
-      }
-      child.children.push_back(std::move(shard_span));
-    }
-    break;
-  }
-
-  queries_->Inc();
-  query_seconds_->Observe(root.duration_seconds);
-  response.timings = SpanBreakdown(root);
-  if (request.trace) response.trace = std::move(root);
-  return response;
+  return scatter_gather_.Search(request, targets_);
 }
 
 HttpResponse CoordinatorService::HandleSearch(const HttpRequest& request) {

@@ -1,7 +1,8 @@
 // The scatter-gather coordinator (DESIGN.md Sec. 12): serves the public
 // /v1 search API by fanning every query out to N shard servers over the
-// /v1/shard RPC surface and merging their candidates with the exact
-// arithmetic of the in-process ShardedEngine (newslink/shard_merge.h).
+// /v1/shard RPC surface. The query itself runs in the scatter-gather core
+// (newslink/scatter_gather.h) over one ShardClientBackend per shard — the
+// same loop and merge arithmetic as the in-process ShardedEngine.
 //
 //   POST /v1/search  single or batched SearchRequest → SearchResponse;
 //                    `explain` is rejected loudly (document embeddings
@@ -14,9 +15,10 @@
 // graph and config, but no corpus), PLANs every shard, merges the
 // per-shard statistics, then SEARCHes every shard with the collection-wide
 // view. A shard that answers 409 (its epoch moved between the two phases)
-// triggers ONE full re-plan round; a shard that is down or misses its
-// per-shard deadline budget is dropped from the merge — the response still
-// answers 200 with `degraded: true` and shards_answered < shards_total.
+// triggers ONE full re-plan round; a shard that is down, misses its
+// per-RPC budget, or is not called because the request deadline is spent
+// is dropped from the merge — the response still answers 200 with
+// `degraded: true` and shards_answered < shards_total.
 //
 // Documents are assumed round-robin partitioned by global corpus row
 // (`newslink_cli serve --shard-index i --shard-count n`), so shard s's
@@ -38,16 +40,10 @@
 #include "net/http_server.h"
 #include "net/shard_client.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/scatter_gather.h"
 
 namespace newslink {
 namespace net {
-
-/// Coordinator registry series (registered on the prep engine's registry
-/// so one /metrics scrape covers NLP, RPC, and service counters).
-inline constexpr std::string_view kCoordinatorDegraded =
-    "coordinator_degraded_responses_total";
-inline constexpr std::string_view kCoordinatorShardErrors =
-    "coordinator_shard_rpc_errors_total";
 
 struct CoordinatorOptions {
   /// Wall-clock budget per shard RPC, seconds (0 = none). A request's own
@@ -63,13 +59,13 @@ struct CoordinatorOptions {
 /// \brief Serves /v1/search by scatter-gather over shard servers.
 ///
 /// `prep` is a NewsLinkEngine with the knowledge graph loaded but no
-/// corpus — it runs the per-query NLP/NE pipeline and builds the
-/// shard-portable query. It must outlive the service; the service must
-/// outlive the HttpServer it registered routes on.
+/// corpus — it runs the per-query NLP/NE pipeline with its config, builds
+/// the shard-portable query, and hosts the service's metrics (the
+/// coordinator_* series among them). It must outlive the service; the
+/// service must outlive the HttpServer it registered routes on.
 class CoordinatorService {
  public:
   CoordinatorService(const newslink::NewsLinkEngine* prep,
-                     NewsLinkConfig config,
                      std::vector<std::unique_ptr<ShardClient>> shards,
                      CoordinatorOptions options = {});
 
@@ -92,7 +88,6 @@ class CoordinatorService {
 
  private:
   const newslink::NewsLinkEngine* prep_;
-  const NewsLinkConfig config_;
   const std::vector<std::unique_ptr<ShardClient>> shards_;
   const CoordinatorOptions options_;
 
@@ -100,12 +95,12 @@ class CoordinatorService {
   /// round trips run concurrently. ParallelFor is reentrant, so batched
   /// requests may fan out from inside a worker.
   mutable ThreadPool pool_;
+  ScatterGather scatter_gather_;
+  /// One backend per shard client, and the fixed targets they form.
+  std::vector<ShardClientBackend> backends_;
+  ScatterTargets targets_;
 
   std::atomic<size_t> inflight_searches_{0};
-  metrics::Counter* queries_;
-  metrics::Histogram* query_seconds_;
-  metrics::Counter* degraded_;
-  metrics::Counter* shard_errors_;
   metrics::Counter* rejected_;
 };
 

@@ -1,5 +1,6 @@
 #include "net/shard_client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/string_util.h"
@@ -114,6 +115,28 @@ json::Value ShardClient::HealthJson() const {
     out.Set("last_error", json::Value::Str(last_error_));
   }
   return out;
+}
+
+double ShardClientBackend::RpcDeadline(double budget_seconds) const {
+  if (max_rpc_seconds_ <= 0.0) return budget_seconds;
+  return budget_seconds > 0.0 ? std::min(budget_seconds, max_rpc_seconds_)
+                              : max_rpc_seconds_;
+}
+
+Result<ShardPlan> ShardClientBackend::Plan(const ShardQuery& query,
+                                           double budget_seconds) const {
+  NL_ASSIGN_OR_RETURN(ShardPlanRpcResponse response,
+                      client_->Plan(query, RpcDeadline(budget_seconds)));
+  return std::move(response.plan);
+}
+
+Result<ShardSearchResult> ShardClientBackend::Search(
+    const ShardQuery& query, const ShardGlobalStats& global,
+    uint64_t expected_epoch, double budget_seconds) const {
+  NL_ASSIGN_OR_RETURN(ShardSearchRpcResponse response,
+                      client_->Search(query, global, expected_epoch,
+                                      RpcDeadline(budget_seconds)));
+  return std::move(response.result);
 }
 
 }  // namespace net

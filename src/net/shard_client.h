@@ -2,7 +2,8 @@
 // keep-alive net/HttpClient + the api_json shard codecs into Plan/Search
 // calls the coordinator can fan out. The client also keeps the shard's
 // last-known health (reachable? which epoch? what failed?) so /v1/stats
-// can report per-shard state without extra probes.
+// can report per-shard state without extra probes. ShardClientBackend
+// puts a client behind the scatter-gather core's ShardBackend interface.
 
 #ifndef NEWSLINK_NET_SHARD_CLIENT_H_
 #define NEWSLINK_NET_SHARD_CLIENT_H_
@@ -15,6 +16,7 @@
 #include "common/result.h"
 #include "net/api_json.h"
 #include "net/http_client.h"
+#include "newslink/scatter_gather.h"
 
 namespace newslink {
 namespace net {
@@ -76,6 +78,29 @@ class ShardClient {
   mutable bool healthy_ = false;
   mutable uint64_t epoch_ = 0;
   mutable std::string last_error_;
+};
+
+/// \brief A shard server as a scatter-gather backend: the client's RPCs,
+/// each bounded by the request's remaining budget tightened to at most
+/// `max_rpc_seconds` (0 = no per-RPC cap). Health stays on the client.
+class ShardClientBackend final : public ShardBackend {
+ public:
+  ShardClientBackend(const ShardClient* client, double max_rpc_seconds)
+      : client_(client), max_rpc_seconds_(max_rpc_seconds) {}
+
+  Result<ShardPlan> Plan(const ShardQuery& query,
+                         double budget_seconds) const override;
+  Result<ShardSearchResult> Search(const ShardQuery& query,
+                                   const ShardGlobalStats& global,
+                                   uint64_t expected_epoch,
+                                   double budget_seconds) const override;
+
+ private:
+  /// The RPC deadline for a call with `budget_seconds` left (0 = none).
+  double RpcDeadline(double budget_seconds) const;
+
+  const ShardClient* client_;
+  double max_rpc_seconds_;
 };
 
 }  // namespace net

@@ -135,10 +135,6 @@ struct ShardGlobalStats {
   bool has_timestamps = false;
 };
 
-/// Fold one shard's plan into the running collection statistics (counts
-/// sum, max-tfs max, min-lengths min over non-empty shards).
-void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out);
-
 /// \brief One candidate document of one shard, scores raw (unnormalized)
 /// and computed with the collection statistics.
 struct ShardCandidate {

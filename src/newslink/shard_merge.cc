@@ -57,6 +57,30 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
   bow_max = bow_max > 0.0 ? bow_max : 1.0;
   bon_max = bon_max > 0.0 ? bon_max : 1.0;
 
+  // The single engine fuses the union of each side's collection-wide
+  // top-k'. Every document of that list is also in its own shard's top-k'
+  // and so among the candidates; one that a shard only filled in on a side
+  // ranks below k' others there and does not enter that side's list here
+  // either. Non-matching documents (raw score 0) are in no list.
+  std::vector<uint32_t> kept;
+  const auto keep_top = [&](double ShardCandidate::*side) {
+    ir::TopKHeap top(params.kprime);
+    for (size_t s = 0; s < shards.size(); ++s) {
+      if (shards[s] == nullptr) continue;
+      for (const ShardCandidate& c : shards[s]->candidates) {
+        if (c.*side > 0.0) {
+          top.Push(ir::ScoredDoc{to_global(s, c.doc), c.*side});
+        }
+      }
+    }
+    for (const ir::ScoredDoc& d : top.Take()) kept.push_back(d.doc);
+  };
+  if (params.kprime > 0) {
+    if (params.use_bow) keep_top(&ShardCandidate::bow);
+    if (params.use_bon) keep_top(&ShardCandidate::bon);
+    std::sort(kept.begin(), kept.end());
+  }
+
   // Eq. 3 per candidate, then one heap over global rows. Shards partition
   // the corpus, so no document appears twice; the two per-side terms are
   // added in a fixed order (IEEE addition of two terms is commutative, so
@@ -68,6 +92,11 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
   for (size_t s = 0; s < shards.size(); ++s) {
     if (shards[s] == nullptr) continue;
     for (const ShardCandidate& c : shards[s]->candidates) {
+      const uint32_t row = to_global(s, c.doc);
+      if (params.kprime > 0 &&
+          !std::binary_search(kept.begin(), kept.end(), row)) {
+        continue;
+      }
       double fused = 0.0;
       if (params.use_bow) fused += (1.0 - params.beta) * (c.bow / bow_max);
       if (params.use_bon) fused += params.beta * (c.bon / bon_max);
@@ -76,7 +105,7 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
       if (decay) {
         fused *= RecencyDecay(c.ts, params.now_ms, params.recency_half_life_s);
       }
-      heap.Push(ir::ScoredDoc{to_global(s, c.doc), fused});
+      heap.Push(ir::ScoredDoc{row, fused});
     }
   }
   return heap.Take();

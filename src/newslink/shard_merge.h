@@ -1,8 +1,8 @@
 // Coordinator-side halves of the shard protocol (shard_api.h): merging
 // per-shard plans into collection statistics and fusing per-shard
-// candidates into the final top-k. Shared by the in-process ShardedEngine
-// and the HTTP scatter-gather coordinator so both merge with literally the
-// same arithmetic.
+// candidates into the final top-k. Called by the scatter-gather core
+// (scatter_gather.h), which every sharded, tiered, and distributed search
+// goes through, so all of them merge with literally the same arithmetic.
 
 #ifndef NEWSLINK_NEWSLINK_SHARD_MERGE_H_
 #define NEWSLINK_NEWSLINK_SHARD_MERGE_H_
@@ -16,6 +16,10 @@
 
 namespace newslink {
 
+/// Fold one shard's plan into the running collection statistics (counts
+/// sum, max-tfs max, min-lengths min over non-empty shards).
+void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out);
+
 /// How to fuse (resolved request knobs, as NewsLinkEngine::Search resolves
 /// them).
 struct ShardFuseParams {
@@ -23,6 +27,10 @@ struct ShardFuseParams {
   bool use_bow = true;
   bool use_bon = false;
   size_t k = 10;
+  /// Per-side candidate depth k' of the pruned path (ShardQuery::kprime);
+  /// 0 keeps every candidate (the exhaustive path, whose per-side lists
+  /// are complete).
+  size_t kprime = 0;
   /// Recency decay inputs (DESIGN.md Sec. 15). Decay multiplies each
   /// candidate's fused score by RecencyDecay(ts, now_ms, half_life) — but
   /// only when recency_half_life_s > 0 AND has_timestamps (from the merged
@@ -37,6 +45,12 @@ struct ShardFuseParams {
 /// normalization) and merge into the top-k, tie-broken toward smaller
 /// global corpus rows — the same heap, arithmetic, and tie order as a
 /// single engine over the union.
+///
+/// With kprime > 0 only the collection-wide top-k' of each side (raw side
+/// score, ties toward the smaller global row, matching documents only) is
+/// fused: every shard returns its OWN per-side top-k', a superset of the
+/// single engine's candidate union, and fusing the extra documents could
+/// rank one the single engine never scored.
 ///
 /// `to_global(shard_index, local_row)` maps a shard's corpus row to the
 /// row in the union corpus; `shard_index` indexes `shards`. Entries of

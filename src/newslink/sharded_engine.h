@@ -1,11 +1,10 @@
 // ShardedEngine: N NewsLinkEngine document-partition shards behind the one
 // baselines::SearchEngine interface (DESIGN.md Sec. 12). Index partitions
 // the corpus across the shards (round-robin or content-hash by corpus row,
-// or an explicit per-row assignment); Search prepares the query once, runs
-// the two-phase shard protocol (shard_api.h) over a thread pool against
-// one pinned epoch per shard, and merges candidates with shard_merge —
-// producing hits bit-identical (scores and tie order) to a single
-// NewsLinkEngine over the whole corpus.
+// or an explicit per-row assignment); Search runs the scatter-gather core
+// (scatter_gather.h) over one in-process backend per shard, each reading
+// one pinned epoch — producing hits bit-identical (scores and tie order)
+// to a single NewsLinkEngine over the whole corpus.
 //
 // Writes: AddDocument routes to the designated write shard; Save/Load
 // snapshot persists a manifest (partition permutation + fingerprints)
@@ -29,6 +28,7 @@
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/scatter_gather.h"
 
 namespace newslink {
 
@@ -68,8 +68,7 @@ class ShardedEngine : public baselines::SearchEngine {
   /// pinned epoch per shard, merged bit-exact vs a single engine over the
   /// union. The trace tree carries one span child per shard under "ns";
   /// shards_total / shards_answered are filled (in-process shards always
-  /// answer: degraded stays false here — the HTTP coordinator is where
-  /// shards can go missing).
+  /// answer unless the request deadline is spent before they are called).
   baselines::SearchResponse Search(
       const baselines::SearchRequest& request) const override;
 
@@ -122,6 +121,7 @@ class ShardedEngine : public baselines::SearchEngine {
   std::vector<std::unique_ptr<NewsLinkEngine>> shards_;
   embed::PathExplainer explainer_;
   mutable ThreadPool pool_;
+  ScatterGather scatter_gather_;
 
   // Routing tables, append-only so queries read them lock-free while
   // AddDocument grows them. A mapping entry is always appended BEFORE the
@@ -136,8 +136,6 @@ class ShardedEngine : public baselines::SearchEngine {
   mutable std::mutex writer_mu_;
   std::atomic<uint64_t> corpus_fingerprint_{0};
 
-  metrics::Counter* queries_;
-  metrics::Histogram* query_seconds_;
 };
 
 }  // namespace newslink

@@ -6,9 +6,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "common/trace.h"
-#include "newslink/shard_merge.h"
 
 namespace newslink {
 
@@ -32,7 +29,7 @@ TieredEngine::TieredEngine(const kg::KnowledgeGraph* graph,
       options_(options),
       explainer_(graph),
       pool_(options_.fanout_threads != 0 ? options_.fanout_threads : 2),
-      queries_(registry()->GetCounter(baselines::kEngineQueries)),
+      scatter_gather_(&pool_, registry(), &explainer_),
       compactions_(registry()->GetCounter(
           kTierCompactions, "today-tier merges into the base tier")),
       compaction_failures_(registry()->GetCounter(
@@ -40,8 +37,7 @@ TieredEngine::TieredEngine(const kg::KnowledgeGraph* graph,
       today_docs_gauge_(registry()->GetGauge(
           kTodayTierDocs, "documents in the live today tier")),
       today_bytes_gauge_(registry()->GetGauge(
-          kTodayTierBytes, "raw content bytes in the live today tier")),
-      query_seconds_(registry()->GetHistogram(baselines::kEngineQuerySeconds)) {
+          kTodayTierBytes, "raw content bytes in the live today tier")) {
   auto tiers = std::make_shared<Tiers>();
   tiers->base = std::make_shared<NewsLinkEngine>(graph, label_index, config);
   tiers->today = std::make_shared<NewsLinkEngine>(graph, label_index, config);
@@ -216,149 +212,26 @@ std::vector<baselines::SearchResponse> TieredEngine::SearchBatch(
 baselines::SearchResponse TieredEngine::SearchWithPins(
     const baselines::SearchRequest& request, const Tiers& tiers,
     const ShardEpochPin& base_pin, const ShardEpochPin& today_pin) const {
-  const double beta = request.beta.value_or(config_.beta);
-  const size_t k = request.k;
   // The tier split this query sees: base rows are global rows
   // [0, base_docs), today-local row j is global row base_docs + j. The
   // base tier is immutable between compactions, so the pinned count IS
   // the split point.
-  const size_t base_docs = base_pin.num_docs();
-
-  WallTimer deadline_timer;
-  const double deadline = request.deadline_seconds.value_or(0.0);
-  const auto past_deadline = [&deadline_timer, deadline]() {
-    return deadline > 0.0 && deadline_timer.ElapsedSeconds() >= deadline;
+  const uint32_t base_docs = static_cast<uint32_t>(base_pin.num_docs());
+  const EngineShardBackend base(tiers.base.get(), base_pin);
+  const EngineShardBackend today(tiers.today.get(), today_pin);
+  ScatterTargets targets;
+  targets.prep = tiers.base.get();
+  targets.partitions = {{&base, "base"}, {&today, "today"}};
+  targets.to_global = [base_docs](size_t s, uint32_t local) {
+    return s == 0 ? local : base_docs + local;
   };
-
-  Trace query_trace;
-  WallTimer trace_timer;
-  const size_t root_handle = query_trace.Begin("search");
-
-  baselines::SearchResponse response;
-  response.epoch = tiers.epoch_base + base_pin.epoch() + today_pin.epoch();
-  response.snapshot_docs = base_docs + today_pin.num_docs();
-
-  // --- NLP + NE on the query: once, shared by both tiers -----------------
-  embed::DocumentEmbedding query_embedding;
-  {
-    ScopedSpan span(&query_trace, "nlp");
-    const text::SegmentedDocument segmented =
-        tiers.base->SegmentText(request.query);
-    query_trace.Note("segments", std::to_string(segmented.segments.size()));
-  }
-  {
-    ScopedSpan span(&query_trace, "ne");
-    if ((beta > 0.0 || request.explain) && past_deadline()) {
-      response.deadline_exceeded = true;
-      query_trace.Note("skipped", "deadline");
-    } else if (beta > 0.0 || request.explain) {
-      query_embedding = tiers.base->EmbedText(request.query);
-    } else {
-      query_trace.Note("skipped", "beta=0");
-    }
-  }
-
-  // --- NS: the tiers are two shards of one collection --------------------
-  const NewsLinkEngine* engines[2] = {tiers.base.get(), tiers.today.get()};
-  const ShardEpochPin* pins[2] = {&base_pin, &today_pin};
-  static constexpr const char* kTierNames[2] = {"base", "today"};
-  ShardSearchResult results[2];
-  double tier_start[2] = {0.0, 0.0};
-  double tier_seconds[2] = {0.0, 0.0};
-  {
-    ScopedSpan span(&query_trace, "ns");
-    const ShardQuery shard_query =
-        tiers.base->PrepareShardQuery(request, query_embedding);
-
-    ShardPlan plans[2];
-    pool_.ParallelFor(2, [&](size_t s) {
-      plans[s] = engines[s]->PlanShard(shard_query, *pins[s]);
-    });
-    ShardGlobalStats global;
-    MergeShardPlan(plans[0], &global);
-    MergeShardPlan(plans[1], &global);
-
-    pool_.ParallelFor(2, [&](size_t s) {
-      tier_start[s] = trace_timer.ElapsedSeconds();
-      WallTimer timer;
-      results[s] = engines[s]->SearchShard(shard_query, global, *pins[s]);
-      tier_seconds[s] = timer.ElapsedSeconds();
-    });
-
-    ShardFuseParams fuse;
-    fuse.beta = beta;
-    fuse.use_bow = shard_query.use_bow;
-    fuse.use_bon = shard_query.use_bon;
-    fuse.k = k;
-    fuse.recency_half_life_s = shard_query.recency_half_life_s;
-    fuse.now_ms = shard_query.now_ms;
-    fuse.has_timestamps = global.has_timestamps;
-    const std::vector<const ShardSearchResult*> ptrs = {&results[0],
-                                                        &results[1]};
-    const std::vector<ir::ScoredDoc> merged = MergeShardCandidates(
-        fuse, ptrs, [base_docs](size_t s, uint32_t local) {
-          return s == 0 ? local
-                        : static_cast<uint32_t>(base_docs) + local;
-        });
-    response.hits.reserve(merged.size());
-    for (const ir::ScoredDoc& scored : merged) {
-      baselines::SearchHit hit;
-      hit.doc_index = scored.doc;
-      hit.score = scored.score;
-      response.hits.push_back(std::move(hit));
-    }
-
-    query_trace.Note("bow_scored", std::to_string(results[0].bow_scored +
-                                                  results[1].bow_scored));
-    query_trace.Note("bon_scored", std::to_string(results[0].bon_scored +
-                                                  results[1].bon_scored));
-    query_trace.Note("today_docs", std::to_string(today_pin.num_docs()));
-  }
-
-  // --- Explanations over global rows --------------------------------------
-  if (request.explain && past_deadline()) {
-    response.deadline_exceeded = true;
-    query_trace.Note("explain_skipped", "deadline");
-  } else if (request.explain) {
-    ScopedSpan span(&query_trace, "explain");
-    for (baselines::SearchHit& hit : response.hits) {
-      const embed::DocumentEmbedding& doc_embedding =
-          hit.doc_index < base_docs
-              ? tiers.base->doc_embedding(hit.doc_index)
-              : tiers.today->doc_embedding(hit.doc_index - base_docs);
-      hit.paths = explainer_.Explain(query_embedding, doc_embedding,
-                                     request.max_paths_per_result);
-    }
-  }
-
-  if (response.deadline_exceeded) {
-    query_trace.Note("deadline_exceeded", "true");
-  }
-  query_trace.End(root_handle);
-  TraceSpan root = query_trace.Finish();
-
-  // One span child per tier under "ns" (timed in the workers above — a
-  // Trace is single-threaded, so spans cannot open inside them).
-  for (TraceSpan& child : root.children) {
-    if (child.name != "ns") continue;
-    for (size_t s = 0; s < 2; ++s) {
-      TraceSpan tier_span;
-      tier_span.name = kTierNames[s];
-      tier_span.start_seconds = tier_start[s];
-      tier_span.duration_seconds = tier_seconds[s];
-      tier_span.notes.push_back({"epoch", std::to_string(results[s].epoch)});
-      tier_span.notes.push_back(
-          {"candidates", std::to_string(results[s].candidates.size())});
-      child.children.push_back(std::move(tier_span));
-    }
-    break;
-  }
-
-  queries_->Inc();
-  query_seconds_->Observe(root.duration_seconds);
-  response.timings = SpanBreakdown(root);
-  if (request.trace) response.trace = std::move(root);
-  return response;
+  targets.epoch_offset = tiers.epoch_base;
+  targets.doc_embedding =
+      [&tiers, base_docs](uint32_t row) -> const embed::DocumentEmbedding& {
+    return row < base_docs ? tiers.base->doc_embedding(row)
+                           : tiers.today->doc_embedding(row - base_docs);
+  };
+  return scatter_gather_.Search(request, targets);
 }
 
 }  // namespace newslink

@@ -7,9 +7,9 @@
 // re-runs — and swaps in a fresh empty today tier with one pointer swap.
 //
 // Queries treat the tiers as two document-partition shards of one
-// collection: the two-phase shard protocol (shard_api.h) plans both tiers
-// against pinned epochs, merges collection statistics, and fuses with
-// shard_merge — so scores (recency decay and time_range filtering
+// collection: the scatter-gather core (scatter_gather.h) plans both tiers
+// against pinned epochs, merges collection statistics, and fuses their
+// candidates — so scores (recency decay and time_range filtering
 // included) are bit-identical to a single NewsLinkEngine over all
 // documents, whatever the tier split. Global document ids are corpus rows
 // in ingestion order (base rows first, today rows after), and compaction
@@ -43,6 +43,7 @@
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/scatter_gather.h"
 
 namespace newslink {
 
@@ -151,6 +152,7 @@ class TieredEngine : public baselines::SearchEngine {
   TieredOptions options_;
   embed::PathExplainer explainer_;
   mutable ThreadPool pool_;
+  ScatterGather scatter_gather_;
 
   // All ingested documents in global row order — the compaction rebuild's
   // input. Guarded by writer_mu_ (queries never read it).
@@ -174,12 +176,10 @@ class TieredEngine : public baselines::SearchEngine {
   bool stop_compactor_ = false;  // guarded by compactor_mu_
   std::thread compactor_;
 
-  metrics::Counter* queries_;
   metrics::Counter* compactions_;
   metrics::Counter* compaction_failures_;
   metrics::Gauge* today_docs_gauge_;
   metrics::Gauge* today_bytes_gauge_;
-  metrics::Histogram* query_seconds_;
 };
 
 }  // namespace newslink

@@ -2,7 +2,9 @@
 // thread pool.
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <set>
 #include <vector>
 
@@ -342,6 +344,29 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
 TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](size_t) { FAIL() << "must not run"; });
+}
+
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
+  // A ParallelFor waits for its own items only. Waiting for the whole pool
+  // to go idle made every concurrent caller (HTTP workers sharing a
+  // fan-out pool) wait for every other caller's work.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  pool.Submit([latch] { latch.wait(); });
+
+  std::vector<std::atomic<int>> hits(8);
+  std::future<void> loop = std::async(std::launch::async, [&pool, &hits] {
+    pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
+  });
+  const bool returned =
+      loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  loop.wait();
+  pool.Wait();
+  EXPECT_TRUE(returned)
+      << "ParallelFor blocked on a task it did not submit";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, WaitIdempotent) {

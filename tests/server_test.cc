@@ -326,15 +326,19 @@ TEST_F(ServerTest, TimeAwareSearchShapesOverSockets) {
         corpus_.doc(expected.hits[i].doc_index).timestamp_ms));
   }
 
-  // Legacy flat shape still decodes (deprecated aliases).
-  json::Value legacy = json::Value::Object();
-  legacy.Set("query", json::Value::Str(reference.query));
-  legacy.Set("k", json::Value::Uint(4));
-  legacy.Set("beta", json::Value::Number(0.3));
-  ASSERT_EQ(StatusOf(Request(port, "POST", "/v1/search", legacy.Dump())),
-            200);
+  // A top-level "beta" is an unknown field (400 naming it), alone or
+  // beside a "ranking" object: ranking knobs live in "ranking" only.
+  json::Value flat = json::Value::Object();
+  flat.Set("query", json::Value::Str(reference.query));
+  flat.Set("k", json::Value::Uint(4));
+  flat.Set("beta", json::Value::Number(0.3));
+  const std::string flat_reply =
+      Request(port, "POST", "/v1/search", flat.Dump());
+  EXPECT_EQ(StatusOf(flat_reply), 400) << flat_reply;
+  EXPECT_NE(BodyOf(flat_reply).find("unknown search request field"),
+            std::string::npos)
+      << flat_reply;
 
-  // Mixing the two shapes in one request is a 400 naming the alias.
   json::Value mixed = json::Value::Object();
   mixed.Set("query", json::Value::Str(reference.query));
   mixed.Set("beta", json::Value::Number(0.3));
@@ -344,7 +348,6 @@ TEST_F(ServerTest, TimeAwareSearchShapesOverSockets) {
   const std::string mixed_reply =
       Request(port, "POST", "/v1/search", mixed.Dump());
   EXPECT_EQ(StatusOf(mixed_reply), 400) << mixed_reply;
-  EXPECT_NE(BodyOf(mixed_reply).find("deprecated alias"), std::string::npos);
 }
 
 TEST_F(ServerTest, IngestedTimestampIsFilterableImmediately) {

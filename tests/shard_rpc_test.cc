@@ -25,6 +25,7 @@
 #include "net/shard_client.h"
 #include "net/status_http.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/shard_merge.h"
 
 namespace newslink {
 namespace net {
@@ -313,7 +314,7 @@ class ShardServingTest : public ::testing::Test {
     CoordinatorOptions options;
     options.shard_deadline_seconds = 5.0;
     coordinator_ = std::make_unique<CoordinatorService>(
-        prep_.get(), config_, std::move(clients), options);
+        prep_.get(), std::move(clients), options);
   }
 
   void TearDown() override {

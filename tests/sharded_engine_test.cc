@@ -129,7 +129,8 @@ TEST_F(ShardedEngineTest, LongQueriesUnderPruningMatchBitForBit) {
   // into essential and non-essential terms, differs from the single
   // engine's. Scores must still be bit-identical, because every document's
   // term contributions are summed in query order whatever order pruning
-  // meets them in.
+  // meets them in. Fused queries must also fuse the same candidates: the
+  // union of each side's collection-wide top-k', not of every shard's own.
   NewsLinkConfig config = EngineConfig();
   config.rerank_depth = 1;
   NewsLinkEngine single(&kg_.graph, &index_, config);
@@ -147,17 +148,14 @@ TEST_F(ShardedEngineTest, LongQueriesUnderPruningMatchBitForBit) {
     ShardedEngine sharded(&kg_.graph, &index_, config, options);
     ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
 
-    for (int trial = 0; trial < 8; ++trial) {
+    for (int trial = 0; trial < 16; ++trial) {
       // Whole documents glued together: dozens of distinct terms.
       std::string query;
       for (int part = 0; part < 3; ++part) {
         query += corpus_.corpus.doc(rng.Uniform(corpus_.corpus.size())).text;
         query += " ";
       }
-      // One side at a time (text, then KG nodes): a fused query with a
-      // rerank depth this shallow merges more candidates sharded than
-      // single, which is a candidate-set question, not a scoring one.
-      for (const double beta : {0.0, 1.0}) {
+      for (const double beta : {0.0, 0.3, 1.0}) {
         baselines::SearchRequest request;
         request.query = query;
         request.k = 1 + rng.Uniform(4);

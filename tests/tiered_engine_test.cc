@@ -134,8 +134,14 @@ TEST_F(TieredEngineTest, MatchesSingleEngineAcrossTierSplit) {
 
   for (const size_t probe : {size_t{0}, bulk - 1, bulk, n - 1}) {
     for (const baselines::SearchRequest& request : PropertyRequests(probe)) {
-      ExpectSameResponse(tiered.Search(request), single.Search(request),
+      const baselines::SearchResponse response = tiered.Search(request);
+      ExpectSameResponse(response, single.Search(request),
                          StrCat("probe ", probe));
+      // The tiers are the two partitions of the scatter-gather core, and
+      // report like any other partition set.
+      EXPECT_EQ(response.shards_total, 2u);
+      EXPECT_EQ(response.shards_answered, 2u);
+      EXPECT_FALSE(response.degraded);
     }
   }
 }

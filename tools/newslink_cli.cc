@@ -400,7 +400,7 @@ int ServeCoordinator(const Flags& flags, const kg::KnowledgeGraph& graph,
       flags.GetDouble("shard-deadline", options.shard_deadline_seconds);
   options.max_inflight_searches =
       flags.GetInt("max-inflight", options.max_inflight_searches);
-  net::CoordinatorService service(&prep, config, std::move(shards), options);
+  net::CoordinatorService service(&prep, std::move(shards), options);
 
   net::HttpServerOptions server_options;
   server_options.bind_address = flags.Get("host", "127.0.0.1");
